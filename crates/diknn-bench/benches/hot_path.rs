@@ -216,21 +216,18 @@ fn bench_mac_fanout(c: &mut Criterion) {
             Arc::new(RandomWaypoint::new(start, &cfg, &mut rng)) as SharedMobility
         })
         .collect();
-    for (name, audible_cache) in [("cache_on", true), ("cache_off", false)] {
-        group.bench_function(BenchmarkId::new("flood_100n_5s", name), |b| {
-            b.iter(|| {
-                let cfg = SimConfig {
-                    neighbor_index: NeighborIndex::Grid,
-                    audible_cache,
-                    time_limit: SimDuration::from_secs_f64(5.0),
-                    ..SimConfig::default()
-                };
-                let mut sim = Simulator::new(cfg, black_box(nodes.clone()), Flood, 17);
-                sim.run();
-                sim.ctx().stats().events
-            })
-        });
-    }
+    group.bench_function("flood_100n_5s", |b| {
+        b.iter(|| {
+            let cfg = SimConfig {
+                neighbor_index: NeighborIndex::Grid,
+                time_limit: SimDuration::from_secs_f64(5.0),
+                ..SimConfig::default()
+            };
+            let mut sim = Simulator::new(cfg, black_box(nodes.clone()), Flood, 17);
+            sim.run();
+            sim.ctx().stats().events
+        })
+    });
     group.finish();
 }
 

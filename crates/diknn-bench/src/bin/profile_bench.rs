@@ -1,11 +1,10 @@
 //! `profile_bench` — phase-level profiling of the engine hot path with a
 //! built-in behaviour oracle (PR 9; workflow documented in PROFILING.md).
 //!
-//! Runs one DIKNN cell under three engine variants:
+//! Runs one DIKNN cell under two engine variants:
 //!
-//! * `grid+cache`   — spatial grid with the incremental audible-set cache,
-//! * `grid+nocache` — spatial grid, cache disabled (`audible_cache=false`),
-//! * `brute`        — the O(n²) brute-force index, the sequential oracle.
+//! * `grid+cache` — spatial grid with the incremental audible-set cache,
+//! * `brute`      — the O(n²) brute-force index, the sequential oracle.
 //!
 //! Each variant is measured twice:
 //!
@@ -53,24 +52,16 @@ const MAX_SPEED: f64 = 5.0;
 struct Variant {
     name: &'static str,
     index: NeighborIndex,
-    audible_cache: bool,
 }
 
-const VARIANTS: [Variant; 3] = [
+const VARIANTS: [Variant; 2] = [
     Variant {
         name: "grid+cache",
         index: NeighborIndex::Grid,
-        audible_cache: true,
-    },
-    Variant {
-        name: "grid+nocache",
-        index: NeighborIndex::Grid,
-        audible_cache: false,
     },
     Variant {
         name: "brute",
         index: NeighborIndex::BruteForce,
-        audible_cache: true,
     },
 ];
 
@@ -134,7 +125,6 @@ fn build_sim(
     let requests = workload::generate(sc, wl, seed);
     let mut cfg = sc.sim_config();
     cfg.neighbor_index = v.index;
-    cfg.audible_cache = v.audible_cache;
     if trace {
         cfg.trace = TraceConfig::enabled();
     }

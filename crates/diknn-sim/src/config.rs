@@ -181,12 +181,6 @@ pub struct SimConfig {
     /// membership). [`NeighborIndex::Grid`] by default;
     /// [`NeighborIndex::BruteForce`] keeps the O(n) scan as an oracle.
     pub neighbor_index: NeighborIndex,
-    /// Reuse each node's audible candidate list across transmissions until
-    /// the grid refreshes or the padded query window moves to different
-    /// cells. Pure caching — runs are bit-identical with it off (the
-    /// equivalence is tested); the switch exists for profiling A/B runs.
-    /// No effect under [`NeighborIndex::BruteForce`]. On by default.
-    pub audible_cache: bool,
     /// If true, neighbour tables are fed directly from the mobility oracle
     /// (perfect, instantaneous neighbourhood knowledge, no beacon traffic).
     /// Used by unit tests and by ablations that want to isolate protocol
@@ -206,10 +200,6 @@ pub struct SimConfig {
     /// event traces for golden files and the invariant checker. Disabled by
     /// default.
     pub trace: TraceConfig,
-    /// Legacy switch: enable the flight recorder so transmission starts are
-    /// recorded. Superseded by [`SimConfig::trace`]; setting this is
-    /// equivalent to `trace.enabled = true`.
-    pub trace_tx: bool,
 }
 
 impl Default for SimConfig {
@@ -229,14 +219,12 @@ impl Default for SimConfig {
             beacon_bytes: 20,
             neighbor_timeout: beacon_interval.mul_f64(2.2),
             neighbor_index: NeighborIndex::default(),
-            audible_cache: true,
             oracle_neighbors: false,
             tx_power_w: 0.0522,
             rx_power_w: 0.0564,
             time_limit: SimDuration::from_secs_f64(100.0),
             faults: FaultPlan::default(),
             trace: TraceConfig::default(),
-            trace_tx: false,
         }
     }
 }
@@ -281,7 +269,7 @@ impl SimConfig {
                 beacon_interval: self.beacon_interval,
             });
         }
-        if (self.trace.enabled || self.trace_tx) && self.trace.capacity == 0 {
+        if self.trace.enabled && self.trace.capacity == 0 {
             return Err(ConfigError::ZeroTraceCapacity);
         }
         self.faults.validate()
@@ -378,17 +366,6 @@ mod tests {
                 capacity: 0,
                 verbose: false,
             },
-            ..SimConfig::default()
-        };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroTraceCapacity));
-        // The legacy switch routes through the same recorder.
-        let c = SimConfig {
-            trace: TraceConfig {
-                enabled: false,
-                capacity: 0,
-                verbose: false,
-            },
-            trace_tx: true,
             ..SimConfig::default()
         };
         assert_eq!(c.validate(), Err(ConfigError::ZeroTraceCapacity));

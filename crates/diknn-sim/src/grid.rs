@@ -39,6 +39,12 @@
 use crate::time::SimTime;
 use diknn_geom::{Point, Rect};
 
+/// Conservative margin (metres) for anchor triage: anchor distances
+/// within `range ± (drift_bound + ANCHOR_EPS)` fall through to the exact
+/// check. It absorbs the few-ulp rounding slack between the
+/// anchor-distance and exact-distance computations.
+pub(crate) const ANCHOR_EPS: f64 = 1e-6;
+
 /// A uniform cell grid over node positions; see the module docs for the
 /// determinism contract.
 #[derive(Debug, Clone)]
@@ -159,7 +165,8 @@ impl SpatialGrid {
     }
 
     /// How far any node may have drifted from its bucketed position by
-    /// `now`, in metres.
+    /// `now`, in metres. Anchor triage against this bound widens it by
+    /// [`ANCHOR_EPS`].
     #[inline]
     pub fn drift_bound(&self, now: SimTime) -> f64 {
         if self.vmax == 0.0 || now <= self.built_at {

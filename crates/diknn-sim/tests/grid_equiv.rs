@@ -6,11 +6,14 @@
 //! any placement — including nodes exactly on cell boundaries, pairs at
 //! exactly the range² boundary, out-of-field positions (clamped into edge
 //! cells), and drifted positions covered by the `vmax · Δt` query pad.
-//! A full-engine test then pins the strongest form of the claim: a whole
-//! simulation under `NeighborIndex::Grid` is bit-identical to one under
-//! `NeighborIndex::BruteForce`.
+//! Constructed seam cases pin the same claim where cell edges meet:
+//! senders and receivers parked on a cell seam, movers crossing one under
+//! a stale grid, and a lattice snapped onto cell edges queried from every
+//! sender. Full-engine tests then pin the strongest form of the claim: a
+//! whole simulation under `NeighborIndex::Grid` is bit-identical to one
+//! under `NeighborIndex::BruteForce`.
 
-use diknn_geom::{Point, Rect};
+use diknn_geom::{Point, Rect, Sector};
 use diknn_mobility::{Mobility, RandomWaypoint, RwpConfig, StaticMobility, WaypointTrace};
 use diknn_sim::{
     Ctx, FaultPlan, FaultRegion, JamZone, NeighborIndex, NodeId, Protocol, SharedMobility,
@@ -193,6 +196,121 @@ fn range_boundary_pair_is_included() {
     assert_eq!(fast, vec![0]);
 }
 
+/// A cell seam of the grid: cells are `RANGE` wide, so x = 60 is the edge
+/// between columns 2 and 3.
+const SEAM: f64 = 3.0 * RANGE;
+
+/// A sender parked exactly on a cell seam, with receivers straddling it,
+/// receivers at exactly range² distance, and a receiver on the seam
+/// itself: the query window must cover both sides of the seam.
+#[test]
+fn query_from_a_cell_seam_sees_every_candidate() {
+    let positions = vec![
+        Point::new(SEAM, 50.0),         // 0: sender, on the seam
+        Point::new(SEAM - 19.9, 50.0),  // 1: in range, left column
+        Point::new(SEAM + 19.9, 50.0),  // 2: in range, right column
+        Point::new(SEAM - RANGE, 50.0), // 3: exactly at range, left
+        Point::new(SEAM + RANGE, 50.0), // 4: exactly at range, right
+        Point::new(SEAM, 30.1),         // 5: in range, on the seam
+        Point::new(SEAM - 20.1, 50.0),  // 6: out of range, left
+        Point::new(SEAM + 25.0, 50.0),  // 7: out of range, right
+    ];
+    let grid = SpatialGrid::build(FIELD, RANGE, &positions, 0.0, 0.5 * RANGE, SimTime::ZERO);
+    let fast = grid_in_range(&grid, &positions, positions[0], RANGE, SimTime::ZERO);
+    assert_eq!(fast, brute_in_range(&positions, positions[0], RANGE));
+    assert_eq!(fast, vec![0, 1, 2, 3, 4, 5]);
+}
+
+/// Movers race across cell seams while the grid stays frozen at t = 0.
+/// Two of them are bucketed in columns outside the unpadded query window
+/// and only the `vmax · Δt` pad brings their cells into view; the padded
+/// answer must equal brute force on the true positions.
+#[test]
+fn drift_padding_covers_movers_crossing_a_cell_seam() {
+    let plan = |x0: f64, x1: f64| -> SharedMobility {
+        Arc::new(WaypointTrace::new(vec![
+            (0.0, Point::new(x0, 50.0)),
+            (2.0, Point::new(x1, 50.0)),
+        ])) as SharedMobility
+    };
+    // Sender static just right of the seam (column 3); the unpadded
+    // window at radius 20 spans columns 2..=4.
+    let mobility: Vec<SharedMobility> = vec![
+        Arc::new(StaticMobility::new(Point::new(SEAM + 5.0, 50.0))) as SharedMobility,
+        plan(26.0, 46.0),  // column 1 → column 2, ends in range
+        plan(52.0, 72.0),  // crosses the seam into the sender's column
+        plan(104.0, 84.0), // column 5 → column 4, ends in range
+        plan(5.0, 25.0),   // stays out of range
+    ];
+    let vmax = mobility.iter().map(|m| m.max_speed()).fold(0.0, f64::max);
+    let built: Vec<Point> = mobility.iter().map(|m| m.position_at(0.0)).collect();
+    let moved: Vec<Point> = mobility.iter().map(|m| m.position_at(2.0)).collect();
+    let grid = SpatialGrid::build(FIELD, RANGE, &built, vmax, 0.5 * RANGE, SimTime::ZERO);
+    let now = SimTime::from_secs_f64(2.0);
+    assert!(
+        grid.drift_bound(now) >= 20.0 - 1e-9,
+        "stale grid must pad by vmax·Δt"
+    );
+    let fast = grid_in_range(&grid, &moved, moved[0], RANGE, now);
+    assert_eq!(fast, brute_in_range(&moved, moved[0], RANGE));
+    assert_eq!(fast, vec![0, 1, 2, 3]);
+    // Non-vacuity: without the pad the stale grid misses the far movers.
+    let unpadded = grid_in_range(&grid, &moved, moved[0], RANGE, SimTime::ZERO);
+    assert_eq!(unpadded, vec![0, 2]);
+}
+
+/// Itinerary sectors partition the disk with inclusive borders. With the
+/// apex on a cell seam and one border running straight up it, every probe
+/// point on the seam (and a hair to either side) must be claimed by at
+/// least one sector and at most two (only on a shared border).
+#[test]
+fn sector_borders_up_a_cell_seam_leave_no_gaps() {
+    let apex = Point::new(SEAM, SEAM);
+    for sectors in [3usize, 4, 6] {
+        // origin = π/2 puts one border exactly on the vertical seam.
+        let parts = Sector::partition(apex, RANGE, sectors, std::f64::consts::FRAC_PI_2);
+        for &dy in &[1.0, 5.0, RANGE - 1e-9, -1.0, -RANGE + 1e-9] {
+            for &dx in &[0.0, 1e-9, -1e-9] {
+                let p = Point::new(apex.x + dx, apex.y + dy);
+                let claims = parts.iter().filter(|s| s.contains(p)).count();
+                assert!(
+                    (1..=2).contains(&claims),
+                    "{sectors} sectors: point ({}, {}) claimed by {claims}",
+                    p.x,
+                    p.y
+                );
+            }
+        }
+    }
+}
+
+/// A lattice snapped onto every cell edge, the field's far edge and the
+/// 2-, 4- and 7-way splits of the field width.
+fn boundary_lattice() -> Vec<Point> {
+    let mut xs: Vec<f64> = (0..=5).map(|c| c as f64 * RANGE).collect();
+    xs.push(FIELD.max_x);
+    for parts in [2usize, 4, 7] {
+        let w = FIELD.width() / parts as f64;
+        xs.extend((1..parts).map(|b| FIELD.min_x + b as f64 * w));
+    }
+    let ys = [0.0, 20.0, 33.0, 40.0, 57.5, 60.0, 100.0, FIELD.max_y];
+    xs.iter()
+        .flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y)))
+        .collect()
+}
+
+/// The boundary-heavy lattice, queried from every sender: the grid path
+/// must equal the brute-force scan each time.
+#[test]
+fn boundary_heavy_lattice_matches_brute_force_for_every_sender() {
+    let positions = boundary_lattice();
+    let grid = SpatialGrid::build(FIELD, RANGE, &positions, 0.0, 0.5 * RANGE, SimTime::ZERO);
+    for (from, &p) in positions.iter().enumerate() {
+        let fast = grid_in_range(&grid, &positions, p, RANGE, SimTime::ZERO);
+        assert_eq!(fast, brute_in_range(&positions, p, RANGE), "sender {from}");
+    }
+}
+
 /// A chatty protocol exercising every grid-backed engine path: periodic
 /// broadcasts (audible sets), oracle/table neighbour reads, and the
 /// read-only snapshot (asserted equal to the pruning read en route).
@@ -357,6 +475,41 @@ fn teleporting_traces_with_churn_run_bit_identical() {
     let brute = run(NeighborIndex::BruteForce);
     assert!(!grid.0.is_empty(), "run recorded no trace events");
     assert_eq!(grid, brute, "teleport runs diverged between indexes");
+}
+
+/// The boundary-heavy lattice through the engine: every node broadcasts,
+/// so every sender's audible set goes through the cached, anchor-triaged
+/// grid query, and the run must stay bit-identical to brute force.
+#[test]
+fn boundary_heavy_lattice_runs_bit_identical() {
+    let nodes: Vec<SharedMobility> = boundary_lattice()
+        .into_iter()
+        .map(|p| Arc::new(StaticMobility::new(p)) as SharedMobility)
+        .collect();
+    let run = |index: NeighborIndex| {
+        let cfg = SimConfig {
+            neighbor_index: index,
+            time_limit: SimDuration::from_secs_f64(4.0),
+            trace: TraceConfig::enabled(),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(
+            cfg,
+            nodes.clone(),
+            Gossip {
+                heard: 0,
+                neighbor_checksum: 0,
+            },
+            5,
+        );
+        sim.warm_neighbor_tables();
+        sim.run();
+        let (proto, ctx) = sim.into_parts();
+        (ctx.trace().render(), proto.heard, proto.neighbor_checksum)
+    };
+    let grid = run(NeighborIndex::Grid);
+    assert!(grid.1 > 0, "lattice run delivered nothing");
+    assert_eq!(grid, run(NeighborIndex::BruteForce));
 }
 
 /// Static pathological placement: everyone in one cell (worst case for

@@ -13,7 +13,8 @@
 //!   list makes slot assignment a pure function of the op sequence.
 //! * Engine snapshots must be byte-stable across a restore round-trip, and
 //!   the incremental audible-set cache must be semantically invisible: a
-//!   run with `audible_cache` off is bit-identical to one with it on.
+//!   grid run (which always goes through the cache) is bit-identical to a
+//!   brute-force run (which never touches it).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -168,10 +169,9 @@ fn mobile_nodes(n: usize, seed: u64) -> Vec<SharedMobility> {
         .collect()
 }
 
-fn chatter_cfg(audible_cache: bool) -> SimConfig {
+fn chatter_cfg(neighbor_index: NeighborIndex) -> SimConfig {
     SimConfig {
-        neighbor_index: NeighborIndex::Grid,
-        audible_cache,
+        neighbor_index,
         time_limit: SimDuration::from_secs_f64(10.0),
         trace: TraceConfig::enabled(),
         ..SimConfig::default()
@@ -185,11 +185,11 @@ fn chatter_cfg(audible_cache: bool) -> SimConfig {
 #[test]
 fn engine_snapshot_survives_a_restore_byte_for_byte() {
     let nodes = mobile_nodes(40, 0xFEED);
-    let mut sim = Simulator::new(chatter_cfg(true), nodes.clone(), Chatter { heard: 0 }, 11);
+    let cfg = || chatter_cfg(NeighborIndex::Grid);
+    let mut sim = Simulator::new(cfg(), nodes.clone(), Chatter { heard: 0 }, 11);
     sim.run_until(SimTime::ZERO + SimDuration::from_secs_f64(4.0));
     let bytes = sim.snapshot();
-    let restored = Simulator::restore(&bytes, chatter_cfg(true), nodes, Chatter { heard: 0 })
-        .expect("restore");
+    let restored = Simulator::restore(&bytes, cfg(), nodes, Chatter { heard: 0 }).expect("restore");
     assert_eq!(
         restored.snapshot(),
         bytes,
@@ -197,30 +197,21 @@ fn engine_snapshot_survives_a_restore_byte_for_byte() {
     );
 }
 
-/// The audible-set cache is pure memoization: with it disabled the run
-/// must be bit-identical — same trace bytes, same deliveries, same energy.
-/// Crossing a snapshot boundary mid-run (which cold-starts the cache) must
-/// not perturb the result either.
+/// The audible-set cache is pure memoization. The grid index always
+/// answers through it and the brute-force scan never touches it, so the
+/// two runs must be bit-identical — same trace bytes, same deliveries,
+/// same energy. Crossing a snapshot boundary mid-run (which cold-starts
+/// the cache) must not perturb the result either.
 #[test]
-fn audible_cache_is_semantically_invisible() {
-    let run = |audible_cache: bool, split: bool| {
+fn cached_audible_sets_match_the_brute_force_scan() {
+    let run = |index: NeighborIndex, split: bool| {
         let nodes = mobile_nodes(50, 0xBEEF);
-        let mut sim = Simulator::new(
-            chatter_cfg(audible_cache),
-            nodes.clone(),
-            Chatter { heard: 0 },
-            23,
-        );
+        let mut sim = Simulator::new(chatter_cfg(index), nodes.clone(), Chatter { heard: 0 }, 23);
         if split {
             sim.run_until(SimTime::ZERO + SimDuration::from_secs_f64(5.0));
             let bytes = sim.snapshot();
-            sim = Simulator::restore(
-                &bytes,
-                chatter_cfg(audible_cache),
-                nodes,
-                Chatter { heard: 0 },
-            )
-            .expect("restore");
+            sim = Simulator::restore(&bytes, chatter_cfg(index), nodes, Chatter { heard: 0 })
+                .expect("restore");
         }
         sim.run();
         let hits = sim.ctx().perf().aud_cache_hits;
@@ -230,12 +221,15 @@ fn audible_cache_is_semantically_invisible() {
             hits,
         )
     };
-    let (on, hits) = run(true, false);
-    let (off, no_hits) = run(false, false);
-    let (split, _) = run(true, true);
-    assert!(!on.0.is_empty(), "run recorded no trace events");
-    assert_eq!(on, off, "cache-on run diverged from cache-off");
-    assert_eq!(on, split, "snapshot boundary perturbed the cached run");
+    let (grid, hits) = run(NeighborIndex::Grid, false);
+    let (brute, brute_hits) = run(NeighborIndex::BruteForce, false);
+    let (split, _) = run(NeighborIndex::Grid, true);
+    assert!(!grid.0.is_empty(), "run recorded no trace events");
+    assert_eq!(
+        grid, brute,
+        "cached grid run diverged from the brute-force scan"
+    );
+    assert_eq!(grid, split, "snapshot boundary perturbed the cached run");
     assert!(hits > 0, "dense broadcast run never hit the audible cache");
-    assert_eq!(no_hits, 0, "disabled cache still reported hits");
+    assert_eq!(brute_hits, 0, "brute-force scan reported cache hits");
 }

@@ -1,10 +1,9 @@
-// Lint fixture: a shard-worker pool spawning threads outside the
-// sanctioned executor module (rule 7). The sharded engine's contract is
-// that the engine crate stays thread-free (it only sees the
-// `ShardExecutor` trait); any worker pool living outside
-// `crates/diknn-workloads/src/parallel.rs` must fail lint, however
-// legitimate-looking its merge discipline is. Scanned as diknn-sim
-// library code; never compiled.
+// Lint fixture: a worker pool spawning threads outside the sanctioned
+// executor module (rule 7). The engine crate stays thread-free and all
+// parallelism goes through `ParallelSweep` in
+// `crates/diknn-workloads/src/parallel.rs`; any worker pool living
+// anywhere else must fail lint, however legitimate-looking its merge
+// discipline is. Scanned as diknn-sim library code; never compiled.
 
 pub struct RogueShardPool {
     workers: Vec<std::thread::JoinHandle<()>>,
