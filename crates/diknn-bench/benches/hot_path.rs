@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the engine hot path (PR 9): event
 //! scheduling, frame-pool churn, grid candidate queries, SoA node-state
-//! access, and a whole-engine MAC fan-out cell. These pin the costs the
-//! slab/SoA overhaul is accountable for; `profile_bench` measures the
-//! same paths in situ with behaviour fingerprints.
+//! access, and whole-engine MAC fan-out cells (a mobile 100-node flood and
+//! a dense 500-node static storm whose overlapping frames keep the
+//! collision rule busy). These pin the costs the slab/SoA overhaul is
+//! accountable for; `profile_bench` measures the same paths in situ with
+//! behaviour fingerprints.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::cmp::Reverse;
@@ -11,7 +13,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use diknn_geom::{Point, Rect};
-use diknn_mobility::{RandomWaypoint, RwpConfig};
+use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility};
 use diknn_sim::{
     Ctx, EventQueue, FramePool, NeighborIndex, NodeId, NodeSoA, Protocol, SharedMobility,
     SimConfig, SimDuration, SimTime, Simulator, SpatialGrid,
@@ -216,18 +218,27 @@ fn bench_mac_fanout(c: &mut Criterion) {
             Arc::new(RandomWaypoint::new(start, &cfg, &mut rng)) as SharedMobility
         })
         .collect();
-    group.bench_function("flood_100n_5s", |b| {
-        b.iter(|| {
-            let cfg = SimConfig {
-                neighbor_index: NeighborIndex::Grid,
-                time_limit: SimDuration::from_secs_f64(5.0),
-                ..SimConfig::default()
-            };
-            let mut sim = Simulator::new(cfg, black_box(nodes.clone()), Flood, 17);
-            sim.run();
-            sim.ctx().stats().events
+    let run = |nodes: &[SharedMobility], secs: f64| {
+        let cfg = SimConfig {
+            neighbor_index: NeighborIndex::Grid,
+            time_limit: SimDuration::from_secs_f64(secs),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(cfg, black_box(nodes.to_vec()), Flood, 17);
+        sim.run();
+        sim.ctx().stats().events
+    };
+    group.bench_function("flood_100n_5s", |b| b.iter(|| run(&nodes, 5.0)));
+    // Dense contention: 500 static nodes in the same field (degree ~48),
+    // so a large share of transmission starts land on receivers another
+    // frame already covers and the collision-marking path runs often.
+    let storm: Vec<SharedMobility> = (0..500)
+        .map(|_| {
+            let p = Point::new(rng.gen_range(0.0..115.0), rng.gen_range(0.0..115.0));
+            Arc::new(StaticMobility::new(p)) as SharedMobility
         })
-    });
+        .collect();
+    group.bench_function("storm_500n", |b| b.iter(|| run(&storm, 5.0)));
     group.finish();
 }
 

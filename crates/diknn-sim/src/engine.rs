@@ -123,7 +123,8 @@ struct ActiveTx {
     id: Handle,
     from: NodeId,
     /// Nodes that were within range at transmission start, with a flag set
-    /// when their copy has been destroyed by a collision.
+    /// when their copy was already lost at start. A copy overlapped later
+    /// is lost through the receiver's `Ctx::rx_clobbered` mark instead.
     receivers: Vec<(NodeId, bool)>,
     airtime: SimDuration,
 }
@@ -297,6 +298,13 @@ pub struct Ctx<M> {
     /// tx charge plus every receiver's rx charge lands on its flow, so the
     /// ledger sums to `total_protocol_energy_j` when all traffic is tagged.
     flow_energy: FlowLedger,
+    /// Per-node collision mark (derived, not snapshotted): set when a
+    /// transmission starts covering a node some other frame on the air
+    /// already covers, cleared when that node's `rx_cover` returns to 0.
+    /// Coverage is unbroken in between, so every copy on the air at the
+    /// node while it is set overlapped a second frame there and is lost;
+    /// `finish_transmission` folds it into the copy's flag.
+    rx_clobbered: Vec<bool>,
     /// Incremental audible-set cache (derived, not snapshotted).
     aud: AudCache,
     /// Recycled hot-path buffers (derived, not snapshotted).
@@ -642,7 +650,7 @@ impl<M: Clone> Ctx<M> {
     /// True when `node` senses the channel busy: it is transmitting or is
     /// within range of an ongoing transmission. O(1): the SoA counters are
     /// maintained by `start_transmission`/`finish_transmission` and count
-    /// exactly the memberships the old scan over `active` tested.
+    /// the sender and receiver memberships of every frame on the air.
     #[inline]
     fn channel_busy(&self, node: NodeId) -> bool {
         let i = node.index();
@@ -776,39 +784,25 @@ impl<M: Clone> Ctx<M> {
         );
         let mut receivers = self.scratch.recv.pop().unwrap_or_default();
         self.fill_receivers(from, &mut receivers);
-        if self.cfg.mac == MacMode::Contention {
-            // Collision rule: a receiver hearing two overlapping
-            // transmissions loses both copies; a transmitting node cannot
-            // receive. The SoA counters stand in for the old scans over
-            // `active` (they count exactly the same memberships).
-            for (r, corrupted) in receivers.iter_mut() {
-                if self.nodes.tx_count[r.index()] > 0 {
-                    *corrupted = true;
+        // Collision rule: a receiver hearing two overlapping transmissions
+        // loses every copy; a transmitting node cannot receive. Before my
+        // bump, `rx_cover[r]` is the number of other frames on the air at
+        // `r`: each overlaps mine there (one collision apiece), my copy is
+        // lost, and `rx_clobbered[r]` dooms theirs.
+        let contention = self.cfg.mac == MacMode::Contention;
+        for (r, corrupted) in receivers.iter_mut() {
+            let i = r.index();
+            let cover = self.nodes.rx_cover[i];
+            if contention {
+                if cover > 0 {
+                    self.stats.collisions += u64::from(cover);
+                    self.rx_clobbered[i] = true;
                 }
+                *corrupted = cover > 0 || self.nodes.tx_count[i] > 0;
             }
-            // Walk the active list only when some receiver of mine is
-            // covered by another transmission (my own counters are not
-            // bumped yet, so `rx_cover` means "covered by someone else").
-            if receivers
-                .iter()
-                .any(|&(r, _)| self.nodes.rx_cover[r.index()] > 0)
-            {
-                for other in self.active.iter_mut() {
-                    for (r, corrupted) in other.receivers.iter_mut() {
-                        // `receivers` is sorted ascending with unique ids.
-                        if let Ok(at) = receivers.binary_search_by_key(r, |&(mr, _)| mr) {
-                            *corrupted = true;
-                            receivers[at].1 = true;
-                            self.stats.collisions += 1;
-                        }
-                    }
-                }
-            }
+            self.nodes.rx_cover[i] = cover + 1;
         }
         self.nodes.tx_count[from.index()] += 1;
-        for &(r, _) in &receivers {
-            self.nodes.rx_cover[r.index()] += 1;
-        }
         self.active.push(ActiveTx {
             id: h,
             from,
@@ -876,6 +870,7 @@ impl<P: Protocol> Simulator<P> {
             grid: None,
             trace,
             flow_energy: FlowLedger::new(),
+            rx_clobbered: vec![false; n],
             aud: AudCache::new(n),
             scratch: Scratch::default(),
             perf: PerfCounters::default(),
@@ -1324,7 +1319,9 @@ impl<P: Protocol> Simulator<P> {
             .position(|a| a.id == h)
             .expect("active tx");
         let ActiveTx {
-            receivers, airtime, ..
+            mut receivers,
+            airtime,
+            ..
         } = ctx.active.swap_remove(pos);
         let PendingTx {
             from,
@@ -1337,9 +1334,16 @@ impl<P: Protocol> Simulator<P> {
         } = ctx.frames.remove(h).expect("pending tx");
         // The air went quiet either way: release the carrier-sense
         // counters bumped at transmission start (dead-sender path too).
+        // A copy overlapped after it started is lost through the
+        // receiver's collision mark, which ends with the coverage.
         ctx.nodes.tx_count[from.index()] -= 1;
-        for &(r, _) in &receivers {
-            ctx.nodes.rx_cover[r.index()] -= 1;
+        for (r, corrupted) in receivers.iter_mut() {
+            let i = r.index();
+            *corrupted |= ctx.rx_clobbered[i];
+            ctx.nodes.rx_cover[i] -= 1;
+            if ctx.nodes.rx_cover[i] == 0 {
+                ctx.rx_clobbered[i] = false;
+            }
         }
         if !ctx.nodes.alive[from.index()] {
             // Sender crashed mid-air: the frame is truncated garbage. No
@@ -1674,7 +1678,20 @@ impl<M: Clone> Ctx<M> {
         self.seq.snap(w);
         self.next_timer.snap(w);
         self.frames.snap(w);
-        self.active.snap(w);
+        // The `Vec<ActiveTx>` layout, with each copy's collision mark
+        // folded into its flag: the flag it will finish with, whatever
+        // starts later. Written in place: a resolved clone's many small
+        // allocations fragment the heap between the large snapshot buffers.
+        w.put_u64(self.active.len() as u64);
+        for tx in &self.active {
+            tx.id.snap(w);
+            tx.from.snap(w);
+            w.put_u64(tx.receivers.len() as u64);
+            for &(r, lost) in &tx.receivers {
+                (r, lost || self.rx_clobbered[r.index()]).snap(w);
+            }
+            tx.airtime.snap(w);
+        }
         self.cancelled_timers.snap(w);
         self.stopped.snap(w);
         self.started.snap(w);
@@ -1725,8 +1742,12 @@ impl<M: Clone> Ctx<M> {
                 "snapshot node count disagrees with the supplied mobility plans",
             ));
         }
-        // Derived state: the audible cache is rebuilt lazily (epoch
-        // sentinel never matches a fresh grid) and perf counters restart.
+        // Derived state: collision marks start clear (every restored flag
+        // already carries its mark, and a later overlap at a node still
+        // covered sets the mark again), the audible cache is rebuilt lazily
+        // (epoch sentinel never matches a fresh grid) and perf counters
+        // restart.
+        self.rx_clobbered = vec![false; n];
         self.aud = AudCache::new(n);
         self.perf = PerfCounters::default();
         Ok(())

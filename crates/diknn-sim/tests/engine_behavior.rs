@@ -6,7 +6,8 @@ use std::sync::Arc;
 use diknn_geom::{Point, Rect};
 use diknn_mobility::{RandomWaypoint, RwpConfig, StaticMobility};
 use diknn_sim::{
-    Ctx, MacMode, NodeId, Protocol, SharedMobility, SimConfig, SimDuration, SimTime, Simulator,
+    CrashSpec, Ctx, FaultPlan, MacMode, NodeId, Protocol, SharedMobility, SimConfig, SimDuration,
+    SimTime, Simulator, TraceConfig,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -459,4 +460,253 @@ fn oracle_neighbors_track_ground_truth() {
     assert_eq!(nb.len(), 1);
     assert_eq!(nb[0].id, NodeId(1));
     assert_eq!(nb[0].position, Point::new(10.0, 0.0));
+}
+
+// ---- the MAC collision rule, pinned exactly ----------------------------
+//
+// Five hand-placed static nodes: R (0) in the middle hears the three
+// mutually hidden senders A (1), B (2) and C (3); PA (4) hears only A.
+// Payload sizes fix the airtimes (header + payload at 250 kbps: 2000 B →
+// 64.5 ms, 500 B → 16.5 ms, 200 B → 6.9 ms), far longer than the ≤0.64 ms
+// MAC start jitter, so the overlaps below hold for every seed.
+
+const R: u32 = 0;
+const A: u32 = 1;
+const B: u32 = 2;
+const C: u32 = 3;
+const PA: u32 = 4;
+
+fn hidden_star() -> Vec<SharedMobility> {
+    static_nodes(&[
+        (0.0, 0.0),
+        (15.0, 0.0),
+        (-15.0, 0.0),
+        (0.0, 15.0),
+        (30.0, 0.0),
+    ])
+}
+
+/// R (0), X (1) and Y (2) on a line: X hears both, R and Y are hidden.
+fn busy_line() -> Vec<SharedMobility> {
+    static_nodes(&[(0.0, 0.0), (15.0, 0.0), (30.0, 0.0)])
+}
+
+/// X (1) is down from 1 ms to 40 ms.
+fn x_down_early() -> SimConfig {
+    SimConfig {
+        faults: FaultPlan {
+            crashes: vec![CrashSpec {
+                node: 1,
+                at: SimDuration::from_millis(1),
+                recover_after: Some(SimDuration::from_millis(39)),
+            }],
+            ..FaultPlan::default()
+        },
+        ..quiet_config()
+    }
+}
+
+/// Broadcasts on a script: entry `k = (at_s, node, payload_bytes)` fires a
+/// timer at `node` after `at_s` seconds that broadcasts `payload_bytes`
+/// tagged `k`. Every delivery is recorded as `(receiver, sender, tag)`.
+struct Script {
+    sends: Vec<(f64, u32, usize)>,
+    received: Vec<(u32, u32, u32)>,
+}
+
+impl Script {
+    fn new(sends: &[(f64, u32, usize)]) -> Self {
+        Script {
+            sends: sends.to_vec(),
+            received: Vec::new(),
+        }
+    }
+}
+
+impl Protocol for Script {
+    type Msg = u32;
+
+    fn on_start(&mut self, ctx: &mut Ctx<u32>) {
+        for (k, &(at, node, _)) in self.sends.iter().enumerate() {
+            ctx.set_timer(NodeId(node), SimDuration::from_secs_f64(at), k as u64);
+        }
+    }
+
+    fn on_timer(&mut self, at: NodeId, key: u64, ctx: &mut Ctx<u32>) {
+        let (_, _, bytes) = self.sends[key as usize];
+        ctx.broadcast(at, bytes, key as u32);
+    }
+
+    fn on_message(&mut self, at: NodeId, from: NodeId, msg: &u32, _ctx: &mut Ctx<u32>) {
+        self.received.push((at.0, from.0, *msg));
+    }
+}
+
+impl diknn_snap::SnapState for Script {
+    fn snap_state(&self, w: &mut diknn_snap::SnapWriter) {
+        diknn_snap::Snap::snap(&self.received, w);
+    }
+    fn restore_state(
+        &mut self,
+        r: &mut diknn_snap::SnapReader<'_>,
+    ) -> Result<(), diknn_snap::SnapError> {
+        self.received = diknn_snap::Snap::unsnap(r)?;
+        Ok(())
+    }
+}
+
+/// Run `sends` over `nodes` to the end for a few seeds; every seed must
+/// give the same `(collisions, deliveries)`, which is returned.
+fn run_script(
+    nodes: &[SharedMobility],
+    cfg: &SimConfig,
+    sends: &[(f64, u32, usize)],
+) -> (u64, Vec<(u32, u32, u32)>) {
+    let runs: Vec<_> = (1..=4)
+        .map(|seed| {
+            let mut sim = Simulator::new(cfg.clone(), nodes.to_vec(), Script::new(sends), seed);
+            sim.run();
+            let collisions = sim.ctx().stats().collisions;
+            (collisions, sim.into_parts().0.received)
+        })
+        .collect();
+    for r in &runs[1..] {
+        assert_eq!(r, &runs[0], "outcome depends on the MAC jitter draw");
+    }
+    runs[0].clone()
+}
+
+/// Two overlapping frames at one receiver: both copies at R are lost,
+/// one collision is counted, and A's copy at PA (outside B's range) still
+/// gets through.
+#[test]
+fn overlapping_frames_destroy_both_copies_at_the_shared_receiver() {
+    let sends = [(0.010, A, 2000), (0.020, B, 500)];
+    let (collisions, received) = run_script(&hidden_star(), &quiet_config(), &sends);
+    assert_eq!(collisions, 1);
+    assert_eq!(received, vec![(PA, A, 0)]);
+}
+
+/// A frame starting on top of two frames already on the air at R counts
+/// one collision per overlapping pair: one when B lands on A, two when C
+/// lands on both.
+#[test]
+fn collisions_count_every_overlapping_pair_at_a_receiver() {
+    let sends = [(0.010, A, 2000), (0.020, B, 2000), (0.030, C, 200)];
+    let (collisions, received) = run_script(&hidden_star(), &quiet_config(), &sends);
+    assert_eq!(collisions, 3);
+    assert_eq!(received, vec![(PA, A, 0)]);
+}
+
+/// A chain: B overlaps the middle of A and ends; C starts after B
+/// ended while A is still on the air. Coverage of R never drops to zero,
+/// so A, B and C are all lost at R (two overlapping starts, two
+/// collisions); PA still hears A.
+#[test]
+fn a_chain_of_overlaps_loses_every_copy_while_coverage_is_continuous() {
+    let sends = [(0.010, A, 2000), (0.020, B, 500), (0.045, C, 200)];
+    let (collisions, received) = run_script(&hidden_star(), &quiet_config(), &sends);
+    assert_eq!(collisions, 2);
+    assert_eq!(received, vec![(PA, A, 0)]);
+}
+
+/// A receiver that is transmitting when a frame starts cannot hear
+/// it. X (1) is down while R (0) starts a long frame, so R's frame does
+/// not cover X and X's carrier sense stays idle after it rejoins; X's
+/// broadcast then reaches Y (2) but not the busy R. No overlap of two
+/// receptions, so no collision is counted.
+#[test]
+fn a_transmitting_receiver_loses_the_frame_without_a_collision() {
+    let sends = [(0.010, 0, 2000), (0.050, 1, 200)];
+    let (collisions, received) = run_script(&busy_line(), &x_down_early(), &sends);
+    assert_eq!(collisions, 0);
+    assert_eq!(received, vec![(2, 1, 1)]);
+}
+
+/// A copy that starts only after R's coverage dropped back to zero is
+/// delivered cleanly, even though R just lost an overlapped pair.
+#[test]
+fn a_copy_starting_after_coverage_ends_is_delivered_cleanly() {
+    let sends = [(0.010, A, 2000), (0.020, B, 500), (0.100, C, 200)];
+    let (collisions, received) = run_script(&hidden_star(), &quiet_config(), &sends);
+    assert_eq!(collisions, 1);
+    assert_eq!(received, vec![(PA, A, 0), (R, C, 2)]);
+}
+
+/// A snapshot cut while a collided copy is still on the air. The cut
+/// instants sit inside the overlap chain above (with A and C both on the
+/// air, and with A alone on the air after losing its copy at R) and inside
+/// the busy-receiver case while X's copy at the transmitting R is on the
+/// air. Each snapshot must survive a restore byte for byte, the restored
+/// run must finish bit-identical to the uncut run, and the snapshot bytes
+/// are pinned: the snapshot format did not change.
+#[test]
+fn snapshot_mid_overlap_restores_bit_identically() {
+    let traced = |cfg: SimConfig| SimConfig {
+        trace: TraceConfig::enabled(),
+        ..cfg
+    };
+    // The chain and the busy-receiver scripts, each with a clean late
+    // frame: it checks that the losses end with the overlap.
+    let chain = (
+        hidden_star(),
+        traced(quiet_config()),
+        vec![
+            (0.010, A, 2000),
+            (0.020, B, 500),
+            (0.045, C, 200),
+            (0.150, C, 200),
+        ],
+        (2, vec![(PA, A, 0), (R, C, 3)]),
+    );
+    let busy = (
+        busy_line(),
+        traced(x_down_early()),
+        vec![(0.010, 0, 2000), (0.050, 1, 200), (0.200, 1, 200)],
+        (0, vec![(2, 1, 1), (0, 1, 2), (2, 1, 2)]),
+    );
+    let cases = [
+        (&chain, 0.050, 0xcc2a_fc1a_3f57_3355_u64),
+        (&chain, 0.060, 0x6391_635d_de84_6fb2),
+        (&busy, 0.053, 0xea5a_42d7_f698_72bc),
+    ];
+    let finish = |sim: Simulator<Script>| {
+        let stats = *sim.ctx().stats();
+        let energy = sim.ctx().total_energy_j().to_bits();
+        let (proto, ctx) = sim.into_parts();
+        (ctx.trace().render(), stats, energy, proto.received)
+    };
+    for (k, &((nodes, cfg, sends, expected), cut, pinned)) in cases.iter().enumerate() {
+        let mut uncut = Simulator::new(cfg.clone(), nodes.clone(), Script::new(sends), 5);
+        uncut.run();
+        let uncut = finish(uncut);
+        assert_eq!(
+            (uncut.1.collisions, uncut.3.clone()),
+            *expected,
+            "case {k}: uncut outcome"
+        );
+
+        let mut sim = Simulator::new(cfg.clone(), nodes.clone(), Script::new(sends), 5);
+        sim.run_until(SimTime::from_secs_f64(cut));
+        let bytes = sim.snapshot();
+        assert_eq!(
+            diknn_snap::fingerprint(&bytes),
+            pinned,
+            "case {k}: snapshot bytes moved"
+        );
+        let mut restored =
+            Simulator::restore(&bytes, cfg.clone(), nodes.clone(), Script::new(sends))
+                .expect("restore");
+        assert_eq!(
+            restored.snapshot(),
+            bytes,
+            "case {k}: snapshot bytes changed across a restore"
+        );
+        restored.run();
+        assert_eq!(
+            finish(restored),
+            uncut,
+            "case {k}: restored run diverged from the uncut run"
+        );
+    }
 }
